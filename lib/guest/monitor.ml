@@ -13,8 +13,9 @@ let default_params ~slot_cycles =
     delta_exp = 20;
     trace_exp = 10;
     report_vcrd = true;
-    (* Bounds the spinlock trace (ring, oldest overwritten): generous
-       for any figure window; prevents unbounded growth on very long
+    (* Bounds the spinlock trace (ring, oldest overwritten). Storage
+       grows with the entries held, up to this cap, so an idle guest
+       pays nothing; the cap only stops unbounded growth on very long
        simulations. *)
     trace_cap = 1_000_000;
     estimator = Sim_learn.Estimator.default_params ~slot_cycles;

@@ -1,6 +1,9 @@
-(* Bounded ring buffer with drop accounting. The backing array is
-   allocated lazily on the first push, so a created-but-never-used
-   ring (tracing compiled in but disabled) costs two words. *)
+(* Bounded ring buffer with drop accounting. Storage grows with the
+   entries held: the backing array starts empty, then holds
+   [initial_slots] and doubles (copying the live elements oldest-first)
+   until it reaches [cap]. Only a full ring overwrites its oldest
+   element, so memory is proportional to what was recorded and never
+   exceeds [cap] slots. *)
 
 type 'a t = {
   cap : int;
@@ -9,6 +12,8 @@ type 'a t = {
   mutable len : int;
   mutable dropped : int;
 }
+
+let initial_slots = 16
 
 let create ~cap =
   if cap < 0 then invalid_arg "Ring.create: negative capacity";
@@ -22,20 +27,26 @@ let dropped t = t.dropped
 
 let is_empty t = t.len = 0
 
+(* A ring that is not full has [start = 0]: only the overwrite branch
+   moves [start], and only [clear] (which resets it) makes a full ring
+   non-full. So the live elements sit oldest-first at [0, len), which
+   is where appends go and what growing copies. *)
 let push t x =
   if t.cap = 0 then t.dropped <- t.dropped + 1
+  else if t.len < t.cap then begin
+    if t.len = Array.length t.buf then begin
+      let buf = Array.make (min t.cap (max initial_slots (2 * t.len))) x in
+      Array.blit t.buf 0 buf 0 t.len;
+      t.buf <- buf
+    end;
+    t.buf.(t.len) <- x;
+    t.len <- t.len + 1
+  end
   else begin
-    if Array.length t.buf = 0 then t.buf <- Array.make t.cap x;
-    if t.len < t.cap then begin
-      t.buf.((t.start + t.len) mod t.cap) <- x;
-      t.len <- t.len + 1
-    end
-    else begin
-      (* Full: overwrite the oldest element. *)
-      t.buf.(t.start) <- x;
-      t.start <- (t.start + 1) mod t.cap;
-      t.dropped <- t.dropped + 1
-    end
+    (* Full, so the array holds [cap] slots: overwrite the oldest. *)
+    t.buf.(t.start) <- x;
+    t.start <- (t.start + 1) mod t.cap;
+    t.dropped <- t.dropped + 1
   end
 
 let iter t f =
@@ -56,7 +67,8 @@ let to_list t =
 
 (* Clearing keeps the drop count: it tallies lifetime losses, the
    semantics Monitor.trace_dropped has always had across window
-   resets. *)
+   resets. It also keeps the grown array, so a ring cleared every
+   window does not regrow. *)
 let clear t =
   t.start <- 0;
   t.len <- 0

@@ -9,7 +9,8 @@ type 'a t
 
 val create : cap:int -> 'a t
 (** A ring holding at most [cap] elements. [cap = 0] drops
-    everything. The backing array is allocated on the first push.
+    everything. Storage grows with the entries held, doubling up to
+    [cap] slots, so a large [cap] costs nothing until it is used.
     Raises [Invalid_argument] on a negative capacity. *)
 
 val capacity : 'a t -> int

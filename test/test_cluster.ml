@@ -2,8 +2,9 @@
    and the per-entry-stream prefix property), placement policy
    decisions on hand-built host views, a full datacenter run with
    pressure migrations landing among live arrivals (conservation,
-   reservation honoring, stop-and-copy cost accounting), and fabric
-   worker-count invariance of the placement log and digest. *)
+   reservation honoring, stop-and-copy cost accounting), fabric
+   worker-count invariance of the placement log and digest, and a
+   per-VM memory bound. *)
 
 open Asman
 module Cluster = Sim_cluster.Cluster
@@ -238,6 +239,34 @@ let test_workers_invariant () =
   Alcotest.(check int) "migrations agree" r1.Cluster.cr_migrations
     r2.Cluster.cr_migrations
 
+(* ----- per-VM memory ----- *)
+
+(* Memory must follow simulated work, not placed VMs. Each guest's
+   spin trace has a 1M-entry cap; allocating it whole on the first
+   recorded wait cost about 1M words per VM that ever spun (628k
+   words per VM on this shape). Measured now: 3,790 words per VM; the
+   bound leaves about 4x headroom. *)
+let words_per_vm_bound = 16_000
+
+let test_memory_per_vm () =
+  let c = config 3L in
+  let vms = 8 in
+  let trace =
+    Vtrace.generate ~max_vcpus:(Config.pcpus c) ~seed:3L ~vms
+      ~dist:Vtrace.Uniform ~horizon_sec:0.3 ()
+  in
+  let t =
+    Cluster.build c ~sched:Config.Asman ~policy:Placement.Lifetime_aware
+      ~hosts:2 ~trace
+  in
+  let r = Cluster.run ~workers:1 t ~horizon_sec:0.3 in
+  let per_vm = Obj.reachable_words (Obj.repr t) / vms in
+  Alcotest.(check bool) "VMs were placed" true (r.Cluster.cr_placements > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words per VM (bound %d)" per_vm words_per_vm_bound)
+    true
+    (per_vm < words_per_vm_bound)
+
 let suite =
   [
     Alcotest.test_case "trace generation is deterministic with the prefix \
@@ -254,4 +283,6 @@ let suite =
       `Slow test_policies_diverge_full_run;
     Alcotest.test_case "placement log and digest are worker-count invariant"
       `Slow test_workers_invariant;
+    Alcotest.test_case "memory follows simulated work, not placed VMs"
+      `Quick test_memory_per_vm;
   ]

@@ -1,6 +1,7 @@
-(* Observability layer: ring semantics, trace masks, exporters,
-   metrics snapshot determinism across Pool worker counts, and the
-   LHP classifier on a hand-built scenario. *)
+(* Observability layer: ring semantics (a list-model property and
+   memory bounds), trace masks, exporters, metrics snapshot
+   determinism across Pool worker counts, and the LHP classifier on a
+   hand-built scenario. *)
 
 open Asman
 module Ring = Sim_obs.Ring
@@ -29,6 +30,122 @@ let test_ring_zero_cap () =
   Ring.push r 1;
   Alcotest.(check (list int)) "keeps nothing" [] (Ring.to_list r);
   Alcotest.(check int) "counts the drop" 1 (Ring.dropped r)
+
+(* Model test: random push/clear scripts against a plain-list model
+   (oldest first, lifetime drop tally). Every observer is compared
+   after every step. [Push_many n] pushes n consecutive values in one
+   step so a script can wrap even the 1000-slot ring. Storage grows
+   16 -> 32 -> ... -> cap, and a ring only wraps once full, so the
+   hazards are: wrapping right after the last growth step (cap 17),
+   and refilling past the grown size after a [Clear] (the array is
+   kept, the start index reset). *)
+type ring_op = Push | Push_many of int | Clear
+
+type model = { items : int list; m_dropped : int }
+
+let model_push cap m x =
+  if cap = 0 then { m with m_dropped = m.m_dropped + 1 }
+  else if List.length m.items < cap then { m with items = m.items @ [ x ] }
+  else { items = List.tl m.items @ [ x ]; m_dropped = m.m_dropped + 1 }
+
+let ring_agrees_with_model (cap, ops) =
+  let r = Ring.create ~cap in
+  let next = ref 0 in
+  let push m =
+    incr next;
+    Ring.push r !next;
+    model_push cap m !next
+  in
+  let agrees m =
+    let iterated = ref [] in
+    Ring.iter r (fun x -> iterated := x :: !iterated);
+    Ring.to_list r = m.items
+    && List.rev !iterated = m.items
+    && Ring.fold r ~init:[] ~f:(fun acc x -> x :: acc) = List.rev m.items
+    && Ring.length r = List.length m.items
+    && Ring.is_empty r = (m.items = [])
+    && Ring.dropped r = m.m_dropped
+    && Ring.capacity r = cap
+  in
+  let step (ok, m) op =
+    if not ok then (ok, m)
+    else
+      let m =
+        match op with
+        | Push -> push m
+        | Push_many n ->
+          let m = ref m in
+          for _ = 1 to n do
+            m := push !m
+          done;
+          !m
+        | Clear ->
+          Ring.clear r;
+          { m with items = [] }
+      in
+      (agrees m, m)
+  in
+  fst (List.fold_left step (true, { items = []; m_dropped = 0 }) ops)
+
+let ring_script_arb =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (12, return Push);
+          (2, map (fun n -> Push_many n) (int_range 1 40));
+          (1, map (fun n -> Push_many n) (int_range 900 1100));
+          (2, return Clear);
+        ])
+  in
+  let print_op = function
+    | Push -> "P"
+    | Push_many n -> Printf.sprintf "P%d" n
+    | Clear -> "C"
+  in
+  QCheck.make
+    ~shrink:QCheck.Shrink.(pair nil list)
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "cap=%d %s" cap (String.concat ";" (List.map print_op ops)))
+    QCheck.Gen.(
+      pair (oneofl [ 0; 1; 2; 17; 1000 ]) (list_size (int_range 1 60) op_gen))
+
+let prop_ring_model =
+  QCheck.Test.make ~count:300 ~name:"ring matches a list model" ring_script_arb
+    ring_agrees_with_model
+
+(* The hazards the generator reaches only by chance, pinned. *)
+let test_ring_model_directed () =
+  List.iter
+    (fun ((cap, ops) as script) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "cap %d, %d ops" cap (List.length ops))
+        true
+        (ring_agrees_with_model script))
+    [
+      (* grow 16 -> 17, then wrap *)
+      (17, [ Push_many 16; Push; Push_many 5; Clear; Push_many 20 ]);
+      (* grow twice, clear, refill past the grown size, then wrap *)
+      (1000, [ Push_many 40; Clear; Push_many 100; Push_many 1000 ]);
+      (* wrap, clear, wrap again: the drop tally accumulates *)
+      (2, [ Push_many 5; Clear; Push; Push_many 3 ]);
+      (1, [ Push; Push; Clear; Clear; Push ]);
+      (0, [ Push_many 3; Clear; Push ]);
+    ]
+
+(* ----- ring memory bounds ----- *)
+
+(* Storage follows the entries held: a 1M-capacity ring holding ten
+   ints is its record plus a 16-slot array (23 words), not 1M words. *)
+let test_ring_memory_follows_entries () =
+  let r = Ring.create ~cap:1_000_000 in
+  for i = 1 to 10 do
+    Ring.push r i
+  done;
+  let words = Obj.reachable_words (Obj.repr r) in
+  Alcotest.(check bool)
+    (Printf.sprintf "10 entries under 1000 words (got %d)" words)
+    true (words < 1_000)
 
 (* ----- trace masks ----- *)
 
@@ -205,7 +322,7 @@ let test_lhp_unknown_holder_uses_sibling () =
 
 (* ----- monitor trace ring regression ----- *)
 
-let test_monitor_trace_drop_accounting () =
+let make_monitor ?trace_cap () =
   let engine = Sim_engine.Engine.create ~seed:2L () in
   let machine =
     Sim_hw.Machine.create engine Config.default.Config.cpu
@@ -214,18 +331,22 @@ let test_monitor_trace_drop_accounting () =
   let vmm = Sim_vmm.Vmm.create machine ~sched:Sim_vmm.Sched_credit.make in
   let domain = Sim_vmm.Vmm.create_domain vmm ~name:"V" ~weight:256 ~vcpus:2 () in
   let hypercall = Sim_vmm.Hypercall.create vmm in
+  let defaults =
+    Sim_guest.Monitor.default_params
+      ~slot_cycles:(Sim_hw.Cpu_model.slot_cycles Config.default.Config.cpu)
+  in
   let params =
     {
-      (Sim_guest.Monitor.default_params
-         ~slot_cycles:(Sim_hw.Cpu_model.slot_cycles Config.default.Config.cpu))
-      with
-      Sim_guest.Monitor.trace_cap = 3;
+      defaults with
+      Sim_guest.Monitor.trace_cap =
+        Option.value trace_cap ~default:defaults.Sim_guest.Monitor.trace_cap;
     }
   in
-  let monitor =
-    Sim_guest.Monitor.create params ~engine ~hypercall ~domain
-      ~rng:(Sim_engine.Rng.create 3L)
-  in
+  Sim_guest.Monitor.create params ~engine ~hypercall ~domain
+    ~rng:(Sim_engine.Rng.create 3L)
+
+let test_monitor_trace_drop_accounting () =
+  let monitor = make_monitor ~trace_cap:3 () in
   (* Waits above the trace threshold (2^10) but below the adjusting
      threshold (2^20). Exactly at capacity: nothing dropped. *)
   for i = 1 to 3 do
@@ -247,6 +368,21 @@ let test_monitor_trace_drop_accounting () =
     (List.length (Sim_guest.Monitor.trace monitor));
   Alcotest.(check int) "drop tally survives reset" 1
     (Sim_guest.Monitor.trace_dropped monitor)
+
+(* One recorded wait must not allocate the trace's capacity: with the
+   default 1M-entry cap, the monitor (and everything it reaches: the
+   engine, VMM and machine) grows by the entry plus a 16-slot array,
+   21 words. *)
+let test_monitor_memory_after_one_wait () =
+  let monitor = make_monitor () in
+  let before = Obj.reachable_words (Obj.repr monitor) in
+  Sim_guest.Monitor.record_spin_wait monitor ~lock_id:1 ~wait:(1 lsl 11);
+  let grown = Obj.reachable_words (Obj.repr monitor) - before in
+  Alcotest.(check int) "wait traced" 1
+    (List.length (Sim_guest.Monitor.trace monitor));
+  Alcotest.(check bool)
+    (Printf.sprintf "one wait costs under 1000 words (got %d)" grown)
+    true (grown < 1_000)
 
 (* ----- metrics registry basics ----- *)
 
@@ -280,6 +416,11 @@ let suite =
     Alcotest.test_case "ring wrap and drop accounting" `Quick
       test_ring_wrap_and_drop;
     Alcotest.test_case "zero-capacity ring" `Quick test_ring_zero_cap;
+    QCheck_alcotest.to_alcotest prop_ring_model;
+    Alcotest.test_case "ring model: directed growth and wrap scripts" `Quick
+      test_ring_model_directed;
+    Alcotest.test_case "ring memory follows entries, not capacity" `Quick
+      test_ring_memory_follows_entries;
     Alcotest.test_case "trace mask gates emission" `Quick
       test_trace_mask_gating;
     Alcotest.test_case "category mask parsing" `Quick test_mask_of_string;
@@ -294,6 +435,8 @@ let suite =
       test_lhp_unknown_holder_uses_sibling;
     Alcotest.test_case "monitor trace ring drop accounting" `Quick
       test_monitor_trace_drop_accounting;
+    Alcotest.test_case "monitor memory after one traced wait" `Quick
+      test_monitor_memory_after_one_wait;
     Alcotest.test_case "metrics diff and lookup" `Quick
       test_metrics_diff_and_lookup;
   ]
