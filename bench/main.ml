@@ -383,18 +383,6 @@ let microbenchmarks () =
   let open Bechamel in
   let freq = Config.freq config in
   (* One Test.make per core primitive of the simulator. *)
-  let test_heap =
-    Test.make ~name:"heap push+pop (256 elems)"
-      (Staged.stage (fun () ->
-           let h = Sim_engine.Heap.create () in
-           for i = 0 to 255 do
-             Sim_engine.Heap.add h ~key:((i * 7919) mod 997) ~seq:i i
-           done;
-           let rec drain () =
-             match Sim_engine.Heap.pop h with Some _ -> drain () | None -> ()
-           in
-           drain ()))
-  in
   let test_rng =
     Test.make ~name:"rng lognormal draw"
       (let rng = Sim_engine.Rng.create 1L in
@@ -457,7 +445,7 @@ let microbenchmarks () =
   let tests =
     Test.make_grouped ~name:"asman" ~fmt:"%s %s"
       [
-        test_heap; test_rng; test_engine; test_estimator; test_histogram;
+        test_rng; test_engine; test_estimator; test_histogram;
         test_pool; test_sim_slice;
       ]
   in

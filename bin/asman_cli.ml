@@ -34,9 +34,32 @@ open Asman
    driver at the bottom can map them uniformly. *)
 exception Usage_error of string
 
+(* Numeric flags are checked while parsing, so a bad value is a usage
+   error (exit 2) naming the flag, never a failure deep in a run. *)
+let int_at_least ~flag lo =
+  let parse s =
+    match int_of_string_opt s with
+    | None -> Error (`Msg (Printf.sprintf "invalid value %S, expected an integer" s))
+    | Some n when n < lo -> Error (`Msg (Printf.sprintf "%s must be >= %d" flag lo))
+    | Some n -> Ok n
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_float ~flag =
+  let parse s =
+    match float_of_string_opt s with
+    | None -> Error (`Msg (Printf.sprintf "invalid value %S, expected a number" s))
+    | Some x when not (x > 0.) -> Error (`Msg (flag ^ " must be > 0"))
+    | Some x -> Ok x
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let scale_arg =
   let doc = "Workload scale factor (fraction of the full benchmark size)." in
-  Arg.(value & opt float Config.default.Config.scale & info [ "scale" ] ~doc)
+  Arg.(
+    value
+    & opt (positive_float ~flag:"--scale") Config.default.Config.scale
+    & info [ "scale" ] ~doc)
 
 let seed_arg =
   let doc = "Random seed (simulations are deterministic per seed)." in
@@ -63,7 +86,7 @@ let jobs_arg =
   in
   Arg.(
     value
-    & opt int (Pool.default_jobs ())
+    & opt (int_at_least ~flag:"-j/--jobs" 1) (Pool.default_jobs ())
     & info [ "j"; "jobs" ] ~doc ~docv:"N")
 
 let queue_arg =
@@ -143,7 +166,10 @@ let sim_jobs_arg =
      density. With $(b,--decouple): the number of sub-hosts that really \
      run in parallel. 1 (the default) leaves both off."
   in
-  Arg.(value & opt int 1 & info [ "sim-jobs" ] ~doc ~docv:"N")
+  Arg.(
+    value
+    & opt (int_at_least ~flag:"--sim-jobs" 1) 1
+    & info [ "sim-jobs" ] ~doc ~docv:"N")
 
 let decouple_arg =
   let doc =
@@ -161,7 +187,10 @@ let workers_arg =
      count; default: all available cores). Changes wall-clock speed only, \
      never the simulation outcome."
   in
-  Arg.(value & opt (some int) None & info [ "workers" ] ~doc ~docv:"W")
+  Arg.(
+    value
+    & opt (some (int_at_least ~flag:"--workers" 1)) None
+    & info [ "workers" ] ~doc ~docv:"W")
 
 let topology_arg =
   let doc =
@@ -766,7 +795,7 @@ let run_cmd =
   in
   let weight_arg =
     let doc = "Weight of every guest VM (Dom0 is fixed at 256)." in
-    Arg.(value & opt int 256 & info [ "weight" ] ~doc)
+    Arg.(value & opt (int_at_least ~flag:"--weight" 1) 256 & info [ "weight" ] ~doc)
   in
   let capped_arg =
     let doc = "Non-work-conserving mode (strict proportional cap)." in
@@ -774,7 +803,7 @@ let run_cmd =
   in
   let rounds_arg =
     let doc = "Rounds of each VM's workload to wait for." in
-    Arg.(value & opt int 1 & info [ "rounds" ] ~doc)
+    Arg.(value & opt (int_at_least ~flag:"--rounds" 1) 1 & info [ "rounds" ] ~doc)
   in
   let max_sec_arg =
     let doc = "Simulated-time budget in seconds." in
@@ -1019,7 +1048,7 @@ let run_cmd =
 let trace_cmd =
   let weight_arg =
     let doc = "VM weight: 256/128/64/32 give 100/66.7/40/22.2% online." in
-    Arg.(value & opt int 32 & info [ "weight" ] ~doc)
+    Arg.(value & opt (int_at_least ~flag:"--weight" 1) 32 & info [ "weight" ] ~doc)
   in
   let bench_arg =
     let doc = "NAS benchmark to trace." in

@@ -239,27 +239,19 @@ let halt t = t.stop <- true
 
 let halted t = t.stop
 
-(* One queue descent per fired event: [Equeue.pop ?limit] locates the
-   live minimum once and either extracts it or reports it beyond the
-   horizon, where the old loop peeked (dropping cancelled events) and
-   then popped (dropping them again). *)
+(* The fire loop is [Equeue.drain]: one queue descent per event and
+   no per-event allocation. An event beyond [until] stays queued and
+   the clock advances to [until] unless the run was halted. *)
 let run ?until t =
   t.stop <- false;
-  let continue = ref true in
-  while !continue && not t.stop do
-    match Equeue.pop ?limit:until t.queue with
-    | Equeue.Event (time, action) ->
+  let limit = match until with Some l -> l | None -> max_int in
+  Equeue.drain t.queue ~limit
+    ~stop:(fun () -> t.stop)
+    (fun time action ->
       t.clock <- time;
       t.fired_count <- t.fired_count + 1;
       t.stream_fp <- ((t.stream_fp * 31) + time + 1) land max_int;
-      action ()
-    | Equeue.Beyond ->
-      (match until with
-      | Some limit -> t.clock <- max t.clock limit
-      | None -> ());
-      continue := false
-    | Equeue.Empty -> continue := false
-  done;
+      action ());
   match until with
   | Some limit when (not t.stop) && t.clock < limit -> t.clock <- limit
   | _ -> ()

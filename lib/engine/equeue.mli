@@ -1,11 +1,20 @@
 (** Event-queue dispatch: the timing-wheel fast path and the
-    binary-heap oracle behind one interface.
+    slot-heap oracle behind one interface.
 
     Both backends share the pooled handle representation of {!Wheel}
     and order events by the exact lexicographic [(time, seq)] key, so
     their pop sequences — and therefore whole simulations — are
     identical event for event. The wheel is the default; the heap is
-    kept for differential testing (`--engine-queue=heap`). *)
+    kept for differential testing (`--engine-queue=heap`).
+
+    In front of either backend sits a front slot holding at most one
+    pending event, and only while that event precedes every backend
+    resident in [(time, seq)] order. A new event takes the slot when
+    it is empty and the event is strictly earlier than the backend
+    minimum, or when the event is strictly earlier than the occupant,
+    which is then demoted into the backend. The backend minimum is
+    cached and recomputed lazily after backend pops. Every operation
+    below honours the slot; it reorders and skips nothing. *)
 
 type kind = Wheel_queue | Heap_queue
 
@@ -42,9 +51,10 @@ val fire_time : t -> handle -> int
     handle (fired/cancelled events may have been recycled). *)
 
 val cancel : t -> handle -> bool
-(** [cancel t h] is [true] iff the event was still pending: wheel
-    residents are unlinked and recycled eagerly, slot-heap residents
-    tombstoned and dropped lazily. Stale handles return [false]. *)
+(** [cancel t h] is [true] iff the event was still pending: the
+    front-slot event and wheel residents are unlinked and recycled
+    eagerly, slot-heap residents tombstoned and dropped lazily. Stale
+    handles return [false]. *)
 
 val next_time : t -> int option
 (** Fire time of the live [(time, seq)]-minimum event, without
@@ -63,9 +73,12 @@ val pop : ?limit:int -> t -> pop_result
     descent. With [limit], an event strictly after it is left queued
     and [Beyond] is returned. *)
 
-val drain : t -> limit:int -> (int -> (unit -> unit) -> unit) -> unit
+val drain :
+  ?stop:(unit -> bool) -> t -> limit:int -> (int -> (unit -> unit) -> unit) -> unit
 (** [drain t ~limit f] pops and applies [f time action] to every live
     event with fire time at or below [limit], in [(time, seq)] order —
     exactly a [pop ~limit] loop, minus the per-event [pop_result] and
     option allocations. [f] may schedule further events; ones landing
-    at or below [limit] fire within the same drain. *)
+    at or below [limit] fire within the same drain. [stop] is polled
+    before every pop (default: never); once it returns [true] the
+    drain returns, leaving the rest queued. *)

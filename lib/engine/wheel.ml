@@ -54,6 +54,7 @@ let loc_near = -2 (* in the near slot-heap *)
 let loc_far = -3 (* in the far-future slot-heap *)
 let loc_aux = -4 (* in a backend-owned slot-heap (heap oracle) *)
 let loc_dead = -5 (* cancelled while in a slot-heap; dropped lazily *)
+let loc_front = -6 (* held outside the backend in the queue's front slot *)
 
 (* Handles pack (gen lsl slot_bits) lor slot: 25 bits of slot index
    (33M concurrently pending events) and 37 bits of per-slot
@@ -479,9 +480,9 @@ let ensure_near w =
   done;
   !live
 
-(* Next live event's fire time without removing it; only valid right
-   after [ensure_near] returned true. *)
-let near_top_time w = w.p.time.(Sheap.top w.near)
+(* Next live event's slot without removing it; only valid right after
+   [ensure_near] returned true. *)
+let near_top w = Sheap.top w.near
 
 (* Remove and return the near-heap minimum slot (caller releases). *)
 let take_near w = Sheap.pop w.p w.near

@@ -10,7 +10,7 @@
     slot-heap catches events beyond the top level's window.
 
     Users normally go through {!Equeue}, which multiplexes this wheel
-    with the binary-heap oracle behind one interface. *)
+    with the slot-heap oracle behind one interface. *)
 
 (** {2 Pooled event store} *)
 
@@ -41,6 +41,9 @@ val loc_aux : int
 
 val loc_dead : int
 (** Cancelled while inside a slot-heap; dropped lazily at the top. *)
+
+val loc_front : int
+(** Held by {!Equeue}'s front slot, outside any backend container. *)
 
 val noop : unit -> unit
 
@@ -105,9 +108,9 @@ val ensure_near : t -> bool
     queue's live [(time, seq)] minimum. [false] iff no live event
     remains. *)
 
-val near_top_time : t -> int
-(** Fire time of the near-heap top; call only after {!ensure_near}
-    returned [true]. *)
+val near_top : t -> int
+(** Slot of the near-heap top, left in place; call only after
+    {!ensure_near} returned [true]. *)
 
 val take_near : t -> int
 (** Pop the near-heap minimum slot; the caller releases it. *)

@@ -27,8 +27,8 @@ type vcpu_ctx = {
   vcpu : Sim_vmm.Vcpu.t;
   gsched : Gsched.t;
   mutable online : bool;
-  mutable timer : Engine.handle option;  (** compute-completion event *)
-  mutable slice_timer : Engine.handle option;
+  mutable timer : Engine.handle;  (** compute-completion event; -1 = none *)
+  mutable slice_timer : Engine.handle;  (** -1 = none *)
 }
 
 type t = {
@@ -44,6 +44,9 @@ type t = {
   barriers : (int, Barrier.t) Hashtbl.t;
   vcpus : vcpu_ctx array;
   mutable threads_rev : Thread.t list;
+  mutable compute_done : (unit -> unit) array;
+      (** per thread id: the compute-completion action, built once in
+          {!add_thread} instead of once per instruction *)
   mutable next_thread_id : int;
   mutable round_hook : Thread.t -> round:int -> duration:int -> unit;
   mutable finished_hook : Thread.t -> unit;
@@ -134,18 +137,16 @@ let occupying t thread =
   | None -> false
 
 let cancel_timer t vc =
-  match vc.timer with
-  | Some h ->
-    Engine.cancel t.engine h;
-    vc.timer <- None
-  | None -> ()
+  if vc.timer >= 0 then begin
+    Engine.cancel t.engine vc.timer;
+    vc.timer <- -1
+  end
 
 let cancel_slice t vc =
-  match vc.slice_timer with
-  | Some h ->
-    Engine.cancel t.engine h;
-    vc.slice_timer <- None
-  | None -> ()
+  if vc.slice_timer >= 0 then begin
+    Engine.cancel t.engine vc.slice_timer;
+    vc.slice_timer <- -1
+  end
 
 (* Pseudo lock id under which a barrier's flag-spin waits are reported
    (distinct from its arrival lock's id, which is [-(id + 1)]). *)
@@ -170,14 +171,9 @@ let rec continue_thread t vc (thread : Thread.t) =
   assert vc.online;
   if thread.Thread.pending_compute > 0 then begin
     thread.Thread.compute_started <- now t;
-    let h =
+    vc.timer <-
       Engine.schedule_after t.engine ~delay:thread.Thread.pending_compute
-        (fun () ->
-          vc.timer <- None;
-          thread.Thread.pending_compute <- 0;
-          do_resume t vc thread)
-    in
-    vc.timer <- Some h
+        t.compute_done.(thread.Thread.id)
   end
   else do_resume t vc thread
 
@@ -288,28 +284,33 @@ and fetch t vc (thread : Thread.t) =
     rotate_or_halt t vc
   end
   else
-  match Program.next thread.Thread.cursor ~rng:thread.Thread.rng with
-  | None -> round_complete t vc thread
-  | Some instr -> begin
-    let overhead = t.params.instr_overhead in
-    match instr with
-    | Program.I_compute n -> start_work t vc thread ~cycles:n ~next:Thread.R_fetch
-    | Program.I_lock l ->
-      start_work t vc thread ~cycles:overhead ~next:(Thread.R_acquire l)
-    | Program.I_unlock l ->
-      start_work t vc thread ~cycles:overhead ~next:(Thread.R_unlock l)
-    | Program.I_sem_wait s ->
-      start_work t vc thread ~cycles:overhead ~next:(Thread.R_sem_wait s)
-    | Program.I_sem_post s ->
-      start_work t vc thread ~cycles:overhead ~next:(Thread.R_sem_post s)
-    | Program.I_barrier b ->
-      start_work t vc thread ~cycles:overhead ~next:(Thread.R_barrier_arrive b)
-    | Program.I_mark ->
-      thread.Thread.marks <- thread.Thread.marks + 1;
-      start_work t vc thread ~cycles:1 ~next:Thread.R_fetch
-    | Program.I_sleep n ->
-      start_work t vc thread ~cycles:overhead ~next:(Thread.R_sleep n)
-  end
+  let c = thread.Thread.cursor in
+  let overhead = t.params.instr_overhead in
+  match Program.fetch c ~rng:thread.Thread.rng with
+  | Program.O_end -> round_complete t vc thread
+  | Program.O_compute ->
+    start_work t vc thread ~cycles:(Program.operand c) ~next:Thread.R_fetch
+  | Program.O_lock ->
+    start_work t vc thread ~cycles:overhead
+      ~next:(Thread.R_acquire (Program.operand c))
+  | Program.O_unlock ->
+    start_work t vc thread ~cycles:overhead
+      ~next:(Thread.R_unlock (Program.operand c))
+  | Program.O_sem_wait ->
+    start_work t vc thread ~cycles:overhead
+      ~next:(Thread.R_sem_wait (Program.operand c))
+  | Program.O_sem_post ->
+    start_work t vc thread ~cycles:overhead
+      ~next:(Thread.R_sem_post (Program.operand c))
+  | Program.O_barrier ->
+    start_work t vc thread ~cycles:overhead
+      ~next:(Thread.R_barrier_arrive (Program.operand c))
+  | Program.O_mark ->
+    thread.Thread.marks <- thread.Thread.marks + 1;
+    start_work t vc thread ~cycles:1 ~next:Thread.R_fetch
+  | Program.O_sleep ->
+    start_work t vc thread ~cycles:overhead
+      ~next:(Thread.R_sleep (Program.operand c))
 
 and start_work t vc (thread : Thread.t) ~cycles ~next =
   thread.Thread.pending_compute <- cycles;
@@ -550,10 +551,10 @@ and resume_active t vc =
 let rec arm_slice t vc =
   cancel_slice t vc;
   if Gsched.thread_count vc.gsched > 1 then begin
-    let h =
+    vc.slice_timer <-
       Engine.schedule_after t.engine ~delay:(Gsched.timeslice vc.gsched)
         (fun () ->
-          vc.slice_timer <- None;
+          vc.slice_timer <- -1;
           if vc.online then begin
             (match Gsched.active vc.gsched with
             | Some active
@@ -575,8 +576,6 @@ let rec arm_slice t vc =
             | Some _ | None -> ());
             arm_slice t vc
           end)
-    in
-    vc.slice_timer <- Some h
   end
 
 and thread_mid_compute (thread : Thread.t) =
@@ -600,18 +599,17 @@ let on_scheduled t vc () =
 let on_preempted t vc () =
   vc.online <- false;
   cancel_slice t vc;
-  (match vc.timer with
-  | Some h ->
-    Engine.cancel t.engine h;
-    vc.timer <- None;
-    (match Gsched.active vc.gsched with
+  if vc.timer >= 0 then begin
+    Engine.cancel t.engine vc.timer;
+    vc.timer <- -1;
+    match Gsched.active vc.gsched with
     | Some active when thread_mid_compute active ->
       active.Thread.pending_compute <-
         max 0
           (active.Thread.pending_compute
           - (now t - active.Thread.compute_started))
-    | Some _ | None -> ())
-  | None -> ())
+    | Some _ | None -> ()
+  end
 
 (* ----- construction ----- *)
 
@@ -646,11 +644,12 @@ let create ?params:params_opt vmm domain () =
               vcpu;
               gsched = Gsched.create ~timeslice:params.timeslice;
               online = false;
-              timer = None;
-              slice_timer = None;
+              timer = -1;
+              slice_timer = -1;
             })
           domain.Sim_vmm.Domain.vcpus;
       threads_rev = [];
+      compute_done = [||];
       next_thread_id = 0;
       round_hook = (fun _ ~round:_ ~duration:_ -> ());
       finished_hook = (fun _ -> ());
@@ -689,7 +688,14 @@ let add_thread t ?(restart = false) ~affinity program =
     Thread.make ~id ~affinity ~restart ~rng:(Rng.split t.rng) program
   in
   t.threads_rev <- thread :: t.threads_rev;
-  Gsched.add t.vcpus.(affinity).gsched thread;
+  let vc = t.vcpus.(affinity) in
+  let compute_done () =
+    vc.timer <- -1;
+    thread.Thread.pending_compute <- 0;
+    do_resume t vc thread
+  in
+  t.compute_done <- Array.append t.compute_done [| compute_done |];
+  Gsched.add vc.gsched thread;
   thread
 
 (* ----- decoupled-VMM domain migration ----- *)
@@ -702,7 +708,7 @@ let add_thread t ?(restart = false) ~affinity program =
 let quiescent t =
   t.pending_untracked = 0
   && Array.for_all
-       (fun vc -> (not vc.online) && vc.timer = None && vc.slice_timer = None)
+       (fun vc -> (not vc.online) && vc.timer < 0 && vc.slice_timer < 0)
        t.vcpus
 
 (* Domain migration is a two-phase handoff. [park] runs on the source

@@ -2,10 +2,11 @@
 
     A program is the op-level model of a benchmark thread: compute
     chunks interleaved with kernel synchronization (spinlocks,
-    semaphores, busy-wait barriers). A {!cursor} flattens the program
-    into a resumable instruction stream — the guest kernel executes one
-    instruction at a time and can be preempted between (or inside)
-    instructions without losing position. *)
+    semaphores, busy-wait barriers). {!make} compiles it to flat code
+    and a {!cursor} walks that code as a resumable instruction stream —
+    the guest kernel executes one instruction at a time and can be
+    preempted between (or inside) instructions without losing
+    position. *)
 
 type op =
   | Compute of int  (** deterministic compute, in cycles *)
@@ -24,16 +25,6 @@ type op =
           time (a guest timer sleep, not busy-wait). The primitive
           scheduler-attack guests use to dodge the accounting tick. *)
   | Repeat of int * op list  (** [Repeat (n, body)] runs [body] n times *)
-
-type instr =
-  | I_compute of int
-  | I_lock of int
-  | I_unlock of int
-  | I_sem_wait of int
-  | I_sem_post of int
-  | I_barrier of int
-  | I_mark
-  | I_sleep of int
 
 type t
 
@@ -58,9 +49,27 @@ val cursor : t -> cursor
 
 val reset : cursor -> unit
 
-val next : cursor -> rng:Sim_engine.Rng.t -> instr option
-(** Advance and return the next instruction; [None] when the program
-    has finished. [rng] materializes [Compute_rand] chunks. *)
+(** The instruction a {!fetch} returned; its argument is {!operand}. *)
+type opcode =
+  | O_compute  (** compute for [operand] cycles *)
+  | O_lock  (** acquire spinlock [operand] *)
+  | O_unlock
+  | O_sem_wait
+  | O_sem_post
+  | O_barrier  (** arrive at barrier [operand] *)
+  | O_mark
+  | O_sleep  (** sleep for [operand] cycles *)
+  | O_end  (** the program has finished *)
+
+val fetch : cursor -> rng:Sim_engine.Rng.t -> opcode
+(** Advance to and return the next instruction, allocating nothing;
+    [O_end] when the program has finished (and on every fetch after).
+    [rng] materializes [Compute_rand] chunks, drawn in program order. *)
+
+val operand : cursor -> int
+(** Argument of the instruction the last {!fetch} returned: cycles for
+    [O_compute]/[O_sleep], the object id for the synchronization
+    opcodes, 0 for [O_mark]. *)
 
 val locks_referenced : t -> int list
 (** Sorted, distinct lock ids used by [Lock]/[Unlock]. *)

@@ -261,6 +261,218 @@ let test_drain_cancel_seeded () =
       Alcotest.failf "drain/cancel seed %d: wheel and heap disagree" seed
   done
 
+(* ----- the front slot against a sorted-list model -----
+
+   Every observable of the queue — pop results under a limit, drained
+   sequences, next_time, is_pending, fire_time, cancel results and the
+   live length — is checked after every operation against a plain list
+   of pending events ordered by (time, seq). Event ids are issued in
+   schedule order, so (time, id) order is (time, seq) order. Handles
+   are kept for every event ever scheduled, so later operations hit
+   stale handles whose slots (front slot included) were recycled. *)
+
+type mop =
+  | M_schedule of int (* delay from the current time *)
+  | M_cancel of int (* [i mod issued]-th handle ever issued; may be stale *)
+  | M_cancel_min (* the live minimum: the front-slot event when it is full *)
+  | M_pop
+  | M_pop_until of int
+  | M_drain of int
+  | M_next_time
+  | M_is_pending of int
+  | M_fire_time of int
+
+let model_run kind ops =
+  let q = Equeue.create kind in
+  let now = ref 0 in
+  let handles = ref [||] in
+  let pending = ref [] in
+  let fired = ref (-1) in
+  let ok = ref true in
+  let expect b = if not b then ok := false in
+  let model_min () =
+    List.fold_left
+      (fun acc e -> match acc with Some m when m <= e -> acc | _ -> Some e)
+      None !pending
+  in
+  let remove id = pending := List.filter (fun (_, i) -> i <> id) !pending in
+  let handle i =
+    let n = Array.length !handles in
+    if n = 0 then None else Some (i mod n, !handles.(i mod n))
+  in
+  let pop limit =
+    let expected =
+      match model_min () with
+      | None -> `Empty
+      | Some (time, _) when time > limit -> `Beyond
+      | Some e -> `Event e
+    in
+    let limit_opt = if limit = max_int then None else Some limit in
+    match (Equeue.pop ?limit:limit_opt q, expected) with
+    | Equeue.Event (time, action), `Event (t, id) ->
+      fired := -1;
+      action ();
+      expect (time = t && !fired = id);
+      remove id;
+      now := time
+    | Equeue.Beyond, `Beyond -> now := max !now limit
+    | Equeue.Empty, `Empty -> ()
+    | _ -> ok := false
+  in
+  let step op =
+    match op with
+    | M_schedule delay ->
+      let id = Array.length !handles in
+      let time = !now + delay in
+      let h = Equeue.schedule q ~time (fun () -> fired := id) in
+      handles := Array.append !handles [| h |];
+      pending := (time, id) :: !pending
+    | M_cancel i -> (
+      match handle i with
+      | None -> ()
+      | Some (id, h) ->
+        expect (Equeue.cancel q h = List.exists (fun (_, j) -> j = id) !pending);
+        remove id)
+    | M_cancel_min -> (
+      match model_min () with
+      | None -> ()
+      | Some (_, id) ->
+        expect (Equeue.cancel q !handles.(id));
+        remove id)
+    | M_pop -> pop max_int
+    | M_pop_until d -> pop (!now + d)
+    | M_drain d ->
+      let limit = !now + d in
+      let expected =
+        List.sort compare (List.filter (fun (t, _) -> t <= limit) !pending)
+      in
+      let got = ref [] in
+      Equeue.drain q ~limit (fun time action ->
+          fired := -1;
+          action ();
+          got := (time, !fired) :: !got);
+      expect (List.rev !got = expected);
+      List.iter (fun (_, id) -> remove id) expected;
+      List.iter (fun (t, _) -> now := t) expected
+    | M_next_time ->
+      expect (Equeue.next_time q = Option.map fst (model_min ()))
+    | M_is_pending i -> (
+      match handle i with
+      | None -> ()
+      | Some (id, h) ->
+        expect
+          (Equeue.is_pending q h = List.exists (fun (_, j) -> j = id) !pending))
+    | M_fire_time i -> (
+      match handle i with
+      | None -> ()
+      | Some (id, h) -> (
+        match
+          (List.find_opt (fun (_, j) -> j = id) !pending, Equeue.fire_time q h)
+        with
+        | Some (t, _), time -> expect (time = t)
+        | None, _ -> ok := false
+        | exception Invalid_argument _ ->
+          expect (not (List.exists (fun (_, j) -> j = id) !pending))))
+  in
+  List.iter
+    (fun op ->
+      step op;
+      expect (Equeue.length q = List.length !pending))
+    ops;
+  while !pending <> [] && !ok do
+    pop max_int
+  done;
+  expect (Equeue.is_empty q && Equeue.pop q = Equeue.Empty);
+  !ok
+
+let check_model ops =
+  model_run Equeue.Wheel_queue ops && model_run Equeue.Heap_queue ops
+
+(* Mostly short delays, so same-instant ties and front-slot contests
+   are common; the rarer long ones reach wheel levels 1 and 2. Longer
+   delays are left to the backend differential above: the wheel walks
+   its cursor to them one 2^16-cycle window at a time, which costs
+   seconds per 300 scripts. *)
+let model_delay_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, return 0);
+        (6, int_range 1 64);
+        (4, int_range 64 (1 lsl 16));
+        (2, int_range (1 lsl 16) (1 lsl 24));
+      ])
+
+let mop_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun d -> M_schedule d) model_delay_gen);
+        (2, map (fun i -> M_cancel i) (int_bound 1000));
+        (2, return M_cancel_min);
+        (4, return M_pop);
+        (2, map (fun d -> M_pop_until d) model_delay_gen);
+        (1, map (fun d -> M_drain d) model_delay_gen);
+        (1, return M_next_time);
+        (2, map (fun i -> M_is_pending i) (int_bound 1000));
+        (2, map (fun i -> M_fire_time i) (int_bound 1000));
+      ])
+
+let print_mop = function
+  | M_schedule d -> Printf.sprintf "S%d" d
+  | M_cancel i -> Printf.sprintf "C%d" i
+  | M_cancel_min -> "Cmin"
+  | M_pop -> "P"
+  | M_pop_until d -> Printf.sprintf "U%d" d
+  | M_drain d -> Printf.sprintf "D%d" d
+  | M_next_time -> "N"
+  | M_is_pending i -> Printf.sprintf "I%d" i
+  | M_fire_time i -> Printf.sprintf "F%d" i
+
+let prop_front_slot_model =
+  QCheck.Test.make ~count:300 ~name:"front slot matches sorted-list model"
+    (QCheck.make
+       ~shrink:(QCheck.Shrink.list ~shrink:(fun _ -> QCheck.Iter.empty))
+       ~print:(fun ops -> String.concat ";" (List.map print_mop ops))
+       QCheck.Gen.(list_size (int_range 1 200) mop_gen))
+    check_model
+
+(* Directed front-slot hazards, each run against the model on both
+   backends. *)
+let test_front_slot_directed () =
+  let scripts =
+    [
+      (* Same-instant ties and zero delays: FIFO by seq. *)
+      ("ties", [ M_schedule 5; M_schedule 5; M_schedule 0; M_schedule 0; M_pop;
+                 M_schedule 0; M_pop; M_pop; M_pop; M_pop ]);
+      (* Demotion: each new event beats the occupant. *)
+      ("demotion", [ M_schedule 100; M_schedule 50; M_schedule 10; M_schedule 1;
+                     M_next_time; M_pop; M_pop; M_schedule 20; M_pop; M_pop ]);
+      (* Cancelling the front-slot event, then refilling the slot. *)
+      ("cancel front", [ M_schedule 100; M_schedule 10; M_cancel_min; M_next_time;
+                         M_schedule 5; M_cancel 2; M_is_pending 2; M_pop; M_pop ]);
+      (* A fired front-slot event's slot is recycled by the next
+         schedule: its stale handle must not see the new event. *)
+      ("stale front", [ M_schedule 10; M_pop; M_schedule 5; M_is_pending 0;
+                        M_fire_time 0; M_cancel 0; M_is_pending 1; M_pop ]);
+      (* The cached backend minimum must follow the backend: lowered
+         by an insert, refreshed after a cancel at the cached time, and
+         set to the demoted event's time on a demotion. *)
+      ("insert lowers min", [ M_schedule 100; M_schedule 50; M_schedule 70; M_pop;
+                              M_schedule 30; M_pop; M_pop; M_pop ]);
+      ("cancel at min", [ M_schedule 100; M_schedule 50; M_cancel 0; M_schedule 60;
+                          M_pop; M_schedule 20; M_pop; M_pop ]);
+      ("demote stale min", [ M_schedule 100; M_schedule 50; M_cancel 0; M_schedule 20;
+                             M_pop; M_schedule 40; M_pop; M_pop ]);
+      (* A limit between the front slot and the backend. *)
+      ("limits", [ M_schedule 1000; M_schedule 10; M_pop_until 5; M_pop_until 20;
+                   M_drain 500; M_drain 600 ]);
+    ]
+  in
+  List.iter
+    (fun (name, ops) -> Alcotest.(check bool) name true (check_model ops))
+    scripts
+
 (* Periodic chains with jitter, through the Engine API: both backends
    must see identical firing orders and clocks. *)
 let engine_trace kind =
@@ -322,6 +534,8 @@ let suite =
       test_drain_cancel_seeded;
     Alcotest.test_case "periodic identical" `Quick test_engine_periodic_identical;
     QCheck_alcotest.to_alcotest prop_backends_agree;
+    Alcotest.test_case "front slot directed" `Quick test_front_slot_directed;
+    QCheck_alcotest.to_alcotest prop_front_slot_model;
     Alcotest.test_case "fig1a identical across backends" `Slow
       test_fig1a_identical_across_backends;
   ]

@@ -7,12 +7,13 @@ let rng () = Sim_engine.Rng.create 1L
 
 (* ----- Program ----- *)
 
+(* The (opcode, operand) stream a cursor emits up to [O_end]. *)
 let drain cursor =
   let r = rng () in
   let rec go acc =
-    match Program.next cursor ~rng:r with
-    | None -> List.rev acc
-    | Some i -> go (i :: acc)
+    match Program.fetch cursor ~rng:r with
+    | Program.O_end -> List.rev acc
+    | op -> go ((op, Program.operand cursor) :: acc)
   in
   go []
 
@@ -29,8 +30,8 @@ let test_program_flattening () =
   Alcotest.(check int) "count" 6 (List.length instrs);
   Alcotest.(check int) "static count" 6 (Program.static_instr_count p);
   match instrs with
-  | [ Program.I_compute 10; Program.I_lock 0; Program.I_unlock 0;
-      Program.I_lock 0; Program.I_unlock 0; Program.I_mark ] ->
+  | [ (Program.O_compute, 10); (Program.O_lock, 0); (Program.O_unlock, 0);
+      (Program.O_lock, 0); (Program.O_unlock, 0); (Program.O_mark, _) ] ->
     ()
   | _ -> Alcotest.fail "unexpected instruction stream"
 
@@ -49,15 +50,17 @@ let test_program_reset () =
   let p = Program.make [ Program.Compute 5; Program.Compute 6 ] in
   let c = Program.cursor p in
   let r = rng () in
-  ignore (Program.next c ~rng:r);
+  ignore (Program.fetch c ~rng:r);
   Program.reset c;
   Alcotest.(check int) "full stream after reset" 2 (List.length (drain c))
 
 let test_program_compute_rand () =
   let p = Program.make [ Program.Compute_rand { mean = 1000; cv = 0.1 } ] in
   let r = rng () in
-  match Program.next (Program.cursor p) ~rng:r with
-  | Some (Program.I_compute n) ->
+  let c = Program.cursor p in
+  match Program.fetch c ~rng:r with
+  | Program.O_compute ->
+    let n = Program.operand c in
     Alcotest.(check bool) "near mean" true (n > 500 && n < 2000)
   | _ -> Alcotest.fail "expected compute"
 

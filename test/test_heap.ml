@@ -1,88 +1,96 @@
-(* Unit and property tests for the binary min-heap. *)
+(* Unit and property tests for the slot-heap (Wheel.Sheap): the binary
+   min-heap behind the wheel's near/far regions and the heap-oracle
+   event-queue backend. Entries are pool slots ordered by their
+   (time, seq) key. *)
 
+open Sim_engine
+
+type h = { pool : Wheel.pool; heap : Wheel.Sheap.t }
+
+let create () = { pool = Wheel.pool_create (); heap = Wheel.Sheap.create () }
+
+let add h ~key ~seq =
+  Wheel.Sheap.push h.pool h.heap (Wheel.alloc h.pool ~time:key ~seq Wheel.noop)
+
+let key h s = (h.pool.Wheel.time.(s), h.pool.Wheel.seq.(s))
+
+(* Pop everything as (time, seq) pairs, recycling the slots. *)
 let pop_all h =
   let rec go acc =
-    match Sim_engine.Heap.pop h with
-    | None -> List.rev acc
-    | Some (k, s, v) -> go ((k, s, v) :: acc)
+    let s = Wheel.Sheap.pop h.pool h.heap in
+    if s < 0 then List.rev acc
+    else begin
+      let k = key h s in
+      Wheel.release h.pool s;
+      go (k :: acc)
+    end
   in
   go []
 
 let test_empty () =
-  let h = Sim_engine.Heap.create () in
-  Alcotest.(check int) "length" 0 (Sim_engine.Heap.length h);
-  Alcotest.(check bool) "is_empty" true (Sim_engine.Heap.is_empty h);
-  Alcotest.(check bool) "peek" true (Sim_engine.Heap.peek h = None);
-  Alcotest.(check bool) "pop" true (Sim_engine.Heap.pop h = None)
+  let h = create () in
+  Alcotest.(check int) "length" 0 (Wheel.Sheap.length h.heap);
+  Alcotest.(check bool) "is_empty" true (Wheel.Sheap.is_empty h.heap);
+  Alcotest.(check int) "top" (-1) (Wheel.Sheap.top h.heap);
+  Alcotest.(check int) "pop" (-1) (Wheel.Sheap.pop h.pool h.heap)
 
 let test_ordering () =
-  let h = Sim_engine.Heap.create () in
-  List.iteri
-    (fun i k -> Sim_engine.Heap.add h ~key:k ~seq:i (string_of_int k))
-    [ 5; 3; 9; 1; 7; 3 ];
-  let keys = List.map (fun (k, _, _) -> k) (pop_all h) in
+  let h = create () in
+  List.iteri (fun i k -> add h ~key:k ~seq:i) [ 5; 3; 9; 1; 7; 3 ];
+  let keys = List.map fst (pop_all h) in
   Alcotest.(check (list int)) "sorted" [ 1; 3; 3; 5; 7; 9 ] keys
 
 let test_fifo_ties () =
-  let h = Sim_engine.Heap.create () in
+  let h = create () in
   for i = 0 to 9 do
-    Sim_engine.Heap.add h ~key:42 ~seq:i i
+    add h ~key:42 ~seq:i
   done;
-  let seqs = List.map (fun (_, s, _) -> s) (pop_all h) in
+  let seqs = List.map snd (pop_all h) in
   Alcotest.(check (list int)) "fifo on equal keys" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] seqs
 
 let test_peek_does_not_remove () =
-  let h = Sim_engine.Heap.create () in
-  Sim_engine.Heap.add h ~key:1 ~seq:0 "a";
-  (match Sim_engine.Heap.peek h with
-  | Some (1, 0, "a") -> ()
-  | Some _ | None -> Alcotest.fail "bad peek");
-  Alcotest.(check int) "still there" 1 (Sim_engine.Heap.length h)
+  let h = create () in
+  add h ~key:1 ~seq:0;
+  let s = Wheel.Sheap.top h.heap in
+  Alcotest.(check (pair int int)) "top key" (1, 0) (key h s);
+  Alcotest.(check int) "still there" 1 (Wheel.Sheap.length h.heap)
 
 let test_clear () =
-  let h = Sim_engine.Heap.create () in
+  let h = create () in
   for i = 0 to 99 do
-    Sim_engine.Heap.add h ~key:i ~seq:i i
+    add h ~key:i ~seq:i
   done;
-  Sim_engine.Heap.clear h;
-  Alcotest.(check int) "cleared" 0 (Sim_engine.Heap.length h);
+  Wheel.Sheap.clear h.heap;
+  Alcotest.(check int) "cleared" 0 (Wheel.Sheap.length h.heap);
   (* Reusable after clear. *)
-  Sim_engine.Heap.add h ~key:7 ~seq:0 7;
-  Alcotest.(check int) "reusable" 1 (Sim_engine.Heap.length h)
-
-let test_fold () =
-  let h = Sim_engine.Heap.create () in
-  List.iteri (fun i k -> Sim_engine.Heap.add h ~key:k ~seq:i k) [ 4; 2; 6 ];
-  let total = Sim_engine.Heap.fold h ~init:0 ~f:( + ) in
-  Alcotest.(check int) "fold sum" 12 total
+  add h ~key:7 ~seq:100;
+  Alcotest.(check int) "reusable" 1 (Wheel.Sheap.length h.heap)
 
 let test_growth () =
-  let h = Sim_engine.Heap.create () in
+  let h = create () in
   for i = 1000 downto 1 do
-    Sim_engine.Heap.add h ~key:i ~seq:(1000 - i) i
+    add h ~key:i ~seq:(1000 - i)
   done;
-  Alcotest.(check int) "length" 1000 (Sim_engine.Heap.length h);
-  let keys = List.map (fun (k, _, _) -> k) (pop_all h) in
+  Alcotest.(check int) "length" 1000 (Wheel.Sheap.length h.heap);
+  let keys = List.map fst (pop_all h) in
   Alcotest.(check (list int)) "sorted 1..1000" (List.init 1000 (fun i -> i + 1)) keys
 
 let prop_extraction_sorted =
   QCheck.Test.make ~name:"heap extraction is sorted"
-    QCheck.(list (pair small_int small_int))
-    (fun pairs ->
-      let h = Sim_engine.Heap.create () in
-      List.iteri
-        (fun i (k, v) -> Sim_engine.Heap.add h ~key:k ~seq:i v)
-        pairs;
-      let out = List.map (fun (k, s, _) -> (k, s)) (pop_all h) in
+    QCheck.(list small_int)
+    (fun keys ->
+      let h = create () in
+      List.iteri (fun i k -> add h ~key:k ~seq:i) keys;
+      let out = pop_all h in
       out = List.sort compare out)
 
 let prop_length =
   QCheck.Test.make ~name:"heap length tracks insertions"
     QCheck.(list small_int)
     (fun keys ->
-      let h = Sim_engine.Heap.create () in
-      List.iteri (fun i k -> Sim_engine.Heap.add h ~key:k ~seq:i ()) keys;
-      Sim_engine.Heap.length h = List.length keys)
+      let h = create () in
+      List.iteri (fun i k -> add h ~key:k ~seq:i) keys;
+      Wheel.Sheap.length h.heap = List.length keys)
 
 let suite =
   [
@@ -91,7 +99,6 @@ let suite =
     Alcotest.test_case "fifo ties" `Quick test_fifo_ties;
     Alcotest.test_case "peek" `Quick test_peek_does_not_remove;
     Alcotest.test_case "clear" `Quick test_clear;
-    Alcotest.test_case "fold" `Quick test_fold;
     Alcotest.test_case "growth" `Quick test_growth;
     QCheck_alcotest.to_alcotest prop_extraction_sorted;
     QCheck_alcotest.to_alcotest prop_length;

@@ -6,6 +6,7 @@ let () =
       ("units", Test_units.suite);
       ("engine", Test_engine.suite);
       ("equeue", Test_equeue.suite);
+      ("alloc", Test_alloc.suite);
       ("stats", Test_stats.suite);
       ("hw", Test_hw.suite);
       ("vmm-units", Test_vmm_units.suite);
@@ -29,4 +30,5 @@ let () =
       ("decouple", Test_decouple.suite);
       ("cluster", Test_cluster.suite);
       ("registry", Test_registry.suite);
+      ("cli", Test_cli.suite);
     ]
