@@ -572,7 +572,7 @@ let () =
   (match opts.json with Some path -> write_json path | None -> ());
   record_run ~ids:opts.ids ~json:opts.json;
   if not !pdes_ok then begin
-    prerr_endline "pdes: -j1-vs-jN fingerprint mismatch";
+    prerr_endline "pdes: harness digest differs across member counts";
     exit 1
   end;
   if not !vmm_ok then begin

@@ -128,30 +128,32 @@ let to_json_fragment results =
            r.bench r.backend r.pending r.ops r.sec r.ops_per_sec)
        results)
 
-(* ----- conservative-PDES throughput: events/sec per shard count and
+(* ----- conservative-PDES throughput: events/sec per member count and
    host size ------------------------------------------------------------
 
    Each PCPU of a big host owns [per-pcpu] self-rescheduling timer
    chains (the hold pattern above, one population per PCPU); chains
-   live on the shard owning their PCPU, and roughly one firing in 64
-   (chosen by hash bits) posts a cross-shard one-shot at >= lookahead
-   ahead — the relocation/IPI traffic the conservative window is sized
-   for. sim-jobs = 1 is the sequential single-queue reference (Shard
-   with one shard degenerates to exactly the engine's pop-with-limit
-   loop); sim-jobs = N runs the same event population partitioned N
-   ways.
+   live on the {!Fabric} member (a full {!Engine}) owning their PCPU,
+   and roughly one firing in 64 (chosen by hash bits) mails a one-shot
+   at >= lookahead ahead to the member owning the opposite PCPU — the
+   relocation/IPI traffic the conservative window is sized for. One
+   member is the sequential reference (every chain on one engine);
+   N members run the same event population partitioned N ways.
 
    Each chain's delay stream is a pure hash of (PCPU, fire time) — no
    per-chain state — so the multiset of fire times is independent of
-   the partition; the commutative Shard.digest must therefore agree
-   between -j1 and -jN, and the bench fails on any mismatch. The
-   lookahead derives from the 10 ms slot quantum (slot/16 ~ 625 us,
-   >> the modeled IPI latency), matching how cross-shard scheduler
-   traffic is slot-granular. *)
+   the partition. The harness keeps a commutative digest of it (one
+   accumulator per member, summed at the end), which must agree across
+   member counts; the bench fails on any mismatch. {!Fabric.digest}
+   folds per-member stream hashes and so depends on the partition by
+   design: it cannot serve as this gate. The lookahead derives from
+   the 10 ms slot quantum (slot/16 ~ 625 us, >> the modeled IPI
+   latency), matching how cross-member scheduler traffic is
+   slot-granular. *)
 
 type pdes_result = {
   p_pcpus : int;
-  p_jobs : int;  (* shard count: the --sim-jobs axis *)
+  p_members : int;  (* fabric member count *)
   p_workers : int;  (* worker domains actually used *)
   p_pending : int;
   p_events : int;
@@ -165,27 +167,48 @@ type pdes_result = {
 let pdes_lookahead =
   Sim_hw.Cpu_model.slot_cycles Sim_hw.Cpu_model.default / 16
 
-let run_pdes_once ?(kind = Equeue.Wheel_queue) ~pcpus ~jobs () =
-  let shards = jobs in
-  let shard_of p = p * shards / pcpus in
+(* Mix a fire time into the commutative digest: a strong per-event
+   scramble combined by wrapping addition, so the total is independent
+   of execution and partition order. *)
+let dg_mix time =
+  let h = (time + 1) * 0x2545F4914F6CDD1 in
+  (h lxor (h lsr 29)) land max_int
+
+(* Digest accumulators sit a cache line apart so members drained on
+   different domains never write to the same line. *)
+let dg_stride = 8
+
+let run_pdes_once ?(kind = Equeue.Wheel_queue) ~pcpus ~members () =
+  let member_of p = p * members / pcpus in
   let la = pdes_lookahead in
   let per_pcpu = if pcpus >= 256 then 1024 else 2048 in
   let until = 64 * la in
-  let t = Shard.create ~queue:kind ~shards ~lookahead:la () in
+  let engines = Array.init members (fun _ -> Engine.create ~queue:kind ()) in
+  let fab = Fabric.create ~lookahead:la engines in
+  let dg = Array.make (members * dg_stride) 0 in
+  let note m time =
+    let i = m * dg_stride in
+    dg.(i) <- (dg.(i) + dg_mix time) land max_int
+  in
+  (* One shared arrival closure per member: mail allocates nothing of
+     its own beyond the mailbox slot. *)
+  let arrive =
+    Array.init members (fun m () -> note m (Engine.now engines.(m)))
+  in
   (* The delay stream is a pure function of (PCPU, fire time): an
      event firing at [time] on PCPU [p] reschedules at
      [time + g (p, time)]. The executed multiset of fire times is then
      fully determined by the initial population — independent of the
-     partition (a chain's PCPU is its own property, not the shard's) —
-     so the digest must agree across shard counts, and the harness
+     partition (a chain's PCPU is its own property, not the member's)
+     — so the digest must agree across member counts, and the harness
      needs no per-chain state at all (one shared closure per PCPU).
      Keying on the PCPU as well as the time keeps chains on distinct
      trajectories: a time-only hash would merge any two chains that
      ever collide, and merged chains reschedule into the same wheel
-     slot — cache-hot inserts that flatter the single-queue baseline.
+     slot — cache-hot inserts that flatter the single-member baseline.
      Per-event bookkeeping is a handful of register ops; everything
      else an event does is queue work, which is precisely what
-     sharding divides. *)
+     partitioning divides. *)
   let mask = (1 lsl 24) - 1 in
   let mix v =
     let h = v * 0x3E3779B97F4A7C15 in
@@ -193,43 +216,44 @@ let run_pdes_once ?(kind = Equeue.Wheel_queue) ~pcpus ~jobs () =
     (h lxor (h lsr 27)) land max_int
   in
   for p = 0 to pcpus - 1 do
-    let sp = shard_of p in
-    let sdst = shard_of ((p + (pcpus / 2)) mod pcpus) in
+    let mp = member_of p in
+    let e = engines.(mp) in
+    let mdst = member_of ((p + (pcpus / 2)) mod pcpus) in
     let rec act () =
-      let time = Shard.clock t ~shard:sp in
+      let time = Engine.now e in
+      note mp time;
       let m = mix ((time lsl 8) lor (p land 0xFF)) in
       if (m lsr 24) land 63 = 0 then
-        Shard.post t ~src:sp ~dst:sdst
+        Fabric.post fab ~src:mp ~dst:mdst
           ~time:(time + la + 1 + ((m lsr 30) land mask))
-          nothing;
-      ignore (Shard.schedule t ~shard:sp ~time:(time + 1 + (m land mask)) act)
+          arrive.(mdst);
+      ignore (Engine.schedule_at e ~time:(time + 1 + (m land mask)) act)
     in
     for k = 0 to per_pcpu - 1 do
       let key = (p * per_pcpu) + k in
-      ignore
-        (Shard.schedule t ~shard:sp ~time:(1 + (mix (key lsl 8) land mask)) act)
+      ignore (Engine.schedule_at e ~time:(1 + (mix (key lsl 8) land mask)) act)
     done
   done;
-  let workers = max 1 (min jobs (Domain.recommended_domain_count ())) in
+  let workers = max 1 (min members (Domain.recommended_domain_count ())) in
   (* Level the GC playing field between sweep points: without this,
      garbage from the previous point's setup charges its collection
      cost to whichever run happens to trip the major slice. *)
   Gc.compact ();
   let t0 = Unix.gettimeofday () in
-  Shard.run ~workers ~until t;
+  Fabric.run ~workers ~until fab;
   let sec = Unix.gettimeofday () -. t0 in
-  let events = Shard.events_fired t in
+  let events = Fabric.events_fired fab in
   {
     p_pcpus = pcpus;
-    p_jobs = jobs;
+    p_members = members;
     p_workers = workers;
     p_pending = pcpus * per_pcpu;
     p_events = events;
     p_sec = sec;
     p_events_per_sec = (if sec > 0. then float_of_int events /. sec else 0.);
-    p_windows = Shard.windows t;
-    p_cross = Shard.cross_posts t;
-    p_digest = Shard.digest t;
+    p_windows = Fabric.windows fab;
+    p_cross = Fabric.cross_posts fab;
+    p_digest = Array.fold_left (fun acc d -> (acc + d) land max_int) 0 dg;
   }
 
 (* Best-of-N wall clock: the setup is deterministic (reps execute the
@@ -245,14 +269,14 @@ let pdes_reps = 4
 let pdes_sweep =
   [ (64, 1); (64, 4); (128, 1); (128, 2); (128, 4); (256, 1); (256, 4) ]
 
-(* Returns the rows plus the fingerprint verdict: within a host size,
-   every shard count must execute the identical event multiset. *)
+(* Returns the rows plus the digest verdict: within a host size,
+   every member count must execute the identical event multiset. *)
 let run_pdes_all ?kind () =
   let best = Array.make (List.length pdes_sweep) None in
   for _ = 1 to pdes_reps do
     List.iteri
-      (fun i (pcpus, jobs) ->
-        let r = run_pdes_once ?kind ~pcpus ~jobs () in
+      (fun i (pcpus, members) ->
+        let r = run_pdes_once ?kind ~pcpus ~members () in
         match best.(i) with
         | None -> best.(i) <- Some r
         | Some b ->
@@ -274,31 +298,33 @@ let run_pdes_all ?kind () =
   in
   (results, ok)
 
-let pdes_ratio results ~pcpus ~jobs ~jobs_ref =
+let pdes_ratio results ~pcpus ~members ~members_ref =
   let rate j =
-    List.find_opt (fun r -> r.p_pcpus = pcpus && r.p_jobs = j) results
+    List.find_opt (fun r -> r.p_pcpus = pcpus && r.p_members = j) results
   in
-  match (rate jobs, rate jobs_ref) with
+  match (rate members, rate members_ref) with
   | Some a, Some b when b.p_events_per_sec > 0. ->
     Some (a.p_events_per_sec /. b.p_events_per_sec)
   | _ -> None
 
 let print_pdes (results, ok) =
   print_endline
-    "conservative PDES throughput (sharded hold pattern, events per second):";
+    "conservative PDES throughput (fabric hold pattern, events per second):";
   List.iter
     (fun r ->
       Printf.printf
-        "  %4d pcpus  -j%d (%d worker%s)  %8d pending  %10.0f ev/s  %5d \
+        "  %4d pcpus  %d member%s (%d worker%s)  %8d pending  %10.0f ev/s  %5d \
          windows  %6d cross\n"
-        r.p_pcpus r.p_jobs r.p_workers
+        r.p_pcpus r.p_members
+        (if r.p_members = 1 then "" else "s")
+        r.p_workers
         (if r.p_workers = 1 then "" else "s")
         r.p_pending r.p_events_per_sec r.p_windows r.p_cross)
     results;
-  (match pdes_ratio results ~pcpus:128 ~jobs:4 ~jobs_ref:1 with
-  | Some ratio -> Printf.printf "  -j4 / -j1 at 128 pcpus: %.2fx\n" ratio
+  (match pdes_ratio results ~pcpus:128 ~members:4 ~members_ref:1 with
+  | Some ratio -> Printf.printf "  4 / 1 members at 128 pcpus: %.2fx\n" ratio
   | None -> ());
-  Printf.printf "  -j1-vs-jN fingerprint: %s\n"
+  Printf.printf "  harness digest across member counts: %s\n"
     (if ok then "identical" else "MISMATCH");
   print_newline ()
 
@@ -311,7 +337,7 @@ let pdes_to_json_fragment results =
             \"pcpus\":%d,\"sim_jobs\":%d,\"workers\":%d,\"pending\":%d,\
             \"ops\":%d,\"sec\":%.6f,\"ops_per_sec\":%.1f,\"windows\":%d,\
             \"cross_posts\":%d,\"digest\":\"%x\"}"
-           r.p_pcpus r.p_jobs r.p_workers r.p_pending r.p_events r.p_sec
+           r.p_pcpus r.p_members r.p_workers r.p_pending r.p_events r.p_sec
            r.p_events_per_sec r.p_windows r.p_cross r.p_digest)
        results)
 

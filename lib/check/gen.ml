@@ -77,8 +77,8 @@ let vm_name i = Printf.sprintf "vm%d" i
 
 let base_spec rng =
   (* Mostly paper-testbed-sized hosts; one case in 16 is a big-host
-     NUMA-ish box (64/128 PCPUs) so the sharding ledger and the
-     big-topology paths stay fuzzed. *)
+     NUMA-ish box (64/128 PCPUs) so the big-topology paths stay
+     fuzzed. *)
   let sockets, cores_per_socket =
     if Rng.int rng 16 = 0 then ((if Rng.bool rng then 4 else 8), 16)
     else
@@ -91,7 +91,10 @@ let base_spec rng =
     work_conserving = Rng.int rng 4 <> 0;
     faults = "none";
     queue = (if Rng.bool rng then "wheel" else "heap");
-    sim_jobs = [| 1; 1; 2; 4 |].(Rng.int rng 4);
+    (* An unused draw, kept at this place in the literal: removing it
+       would make every case seed name a different case, breaking the
+       committed corpus seeds and the perfbench reference. *)
+    sim_jobs = (ignore (Rng.int rng 4 : int); 1);
     decouple = false;
     sockets;
     cores_per_socket;

@@ -28,7 +28,7 @@ type t = {
   work_conserving : bool;
   faults : string;  (** profile name, ["none"] for clean runs *)
   queue : string;  (** ["wheel"] or ["heap"] *)
-  sim_jobs : int;  (** --sim-jobs shard count; 1 = ledger unarmed *)
+  sim_jobs : int;  (** --sim-jobs sub-host count; > 1 only with [decouple] *)
   decouple : bool;
       (** run the scenario as [sim_jobs] decoupled sub-hosts on the
           PDES fabric; judged by the worker-invariance oracle instead
@@ -210,8 +210,7 @@ let of_json j =
     work_conserving = Cjson.get "work_conserving" j ~of_:Cjson.to_bool;
     faults = Cjson.get "faults" j ~of_:Cjson.to_string_v;
     queue = Cjson.get "queue" j ~of_:Cjson.to_string_v;
-    (* absent in pre-sim-jobs corpus files: default to the unarmed
-       ledger so the committed corpus replays unchanged *)
+    (* absent in pre-sim-jobs corpus files: one engine, as before *)
     sim_jobs =
       (match Cjson.member "sim_jobs" j with
       | None -> 1
@@ -310,6 +309,8 @@ let validate t =
   else if t.queue <> "wheel" && t.queue <> "heap" then
     err "unknown queue backend %S" t.queue
   else if t.sim_jobs < 1 then err "non-positive sim_jobs"
+  else if t.sim_jobs > 1 && not t.decouple then
+    err "sim_jobs > 1 needs decouple"
   else if Sim_vmm.Vmm.accounting_of_name t.accounting = None then
     err "unknown accounting discipline %S" t.accounting
   else if

@@ -44,10 +44,9 @@ type t = {
   faults : string;  (** fault profile name; ["none"] = clean *)
   queue : string;  (** event-queue backend: ["wheel"] or ["heap"] *)
   sim_jobs : int;
-      (** [--sim-jobs] shard count for the engine's sharding ledger;
-          1 (the default when absent from older corpus JSON) leaves
-          the ledger unarmed. Outcome-invariant by contract — the
-          sim-jobs oracle reruns cases across values to enforce it. *)
+      (** [--sim-jobs] sub-host count: 1 (the default when absent
+          from older corpus JSON) for a single-engine case, >= 2 only
+          together with [decouple] ({!validate} rejects the rest). *)
   decouple : bool;
       (** [true]: run the scenario as [sim_jobs] decoupled sub-hosts
           on the windowed PDES fabric and judge it with the

@@ -59,16 +59,14 @@ type t = {
           [--engine-queue] flag). SimCheck pins it per case so a
           differential rerun needs no global state. *)
   sim_jobs : int;
-      (** [--sim-jobs]: shards for the engine's coupled-mode sharding
-          ledger (clamped to the PCPU count). 1 — the default — leaves
-          the ledger unarmed. Any value produces scheduler-visible
-          outcomes byte-identical to 1: the ledger attributes and
-          measures, it never reorders. *)
+      (** [--sim-jobs]: sub-hosts of a decoupled run ({!Decouple});
+          1, the default, for the single sequential engine. Values
+          above 1 take effect only with [decouple]. *)
   decouple : bool;
-      (** [--decouple]: run the scenario as [sim_jobs] decoupled
-          sub-hosts on the windowed PDES fabric ({!Decouple}) instead
-          of arming the coupled-mode ledger. Default off: the single
-          sequential engine, byte-identical to earlier builds. *)
+      (** run the scenario as [sim_jobs] decoupled sub-hosts on the
+          windowed PDES fabric ({!Decouple}). The CLI sets it from
+          [--sim-jobs N >= 2]. Default off: the single sequential
+          engine. *)
   numa : bool;
       (** arm the NUMA host model (same-socket steal preference,
           cross-socket relocation penalty). Default off: flat-host

@@ -161,9 +161,11 @@ let balance_tick t k =
 let build config ~sched ~vms =
   let nshards = config.Config.sim_jobs in
   if nshards < 2 then
-    invalid_arg "Decouple.build: --decouple needs --sim-jobs >= 2";
+    invalid_arg "Decouple.build: a decoupled run needs --sim-jobs >= 2";
   if not (Sim_faults.Fault.is_none config.Config.faults) then
-    invalid_arg "Decouple.build: fault injection requires the coupled engine";
+    invalid_arg
+      "Decouple.build: fault injection (--chaos) needs --sim-jobs 1, the \
+       coupled engine";
   let topo = config.Config.topology in
   let sockets = topo.Sim_hw.Topology.sockets in
   if sockets mod nshards <> 0 then

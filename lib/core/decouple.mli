@@ -1,9 +1,8 @@
 (** Decoupled VMM: one scenario as [sim_jobs] parallel sub-hosts.
 
-    Coupled mode ([--sim-jobs] without [--decouple]) runs the whole
-    VMM on one sequential engine and only {e accounts} what a sharded
-    run would do. This module actually does it: the host is
-    partitioned socket-aligned into [sim_jobs] shards, each shard a
+    The default ([--sim-jobs 1]) runs the whole VMM on one sequential
+    engine. This module splits it: the host is partitioned
+    socket-aligned into [sim_jobs] shards, each shard a
     full sub-host — its own engine, machine, VMM, scheduler, Dom0 and
     guest kernels — built by {!Scenario.build} over a sub-topology,
     and the shards advance together on the conservative windowed

@@ -224,8 +224,8 @@ let never () = false
 
 (* Fused fire loop: equivalent to looping over [pop ~limit] but with
    no per-event allocation (neither the [limit] option nor the
-   [pop_result] block). Both the sharded drain and [Engine.run] fire
-   every event through here. *)
+   [pop_result] block). [Engine.run] fires every event through
+   here. *)
 let drain ?(stop = never) t ~limit f =
   let continue_ = ref true in
   while !continue_ && not (stop ()) do

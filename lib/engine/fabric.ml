@@ -1,11 +1,11 @@
 (* Conservative windowed coordination of full Engine members — the
-   decoupled-VMM execution core.
+   repository's one parallel-DES core, under the decoupled VMM, the
+   cluster and the pdes micro-bench.
 
-   Where {!Shard} shards one logical simulation over bare Equeues,
-   the fabric couples N complete {!Engine} instances (each carrying
-   its own clock, RNG, trace and, above it, a whole VMM sub-host) and
-   advances them in lockstep conservative windows on a {!Team} of
-   worker domains:
+   The fabric couples N complete {!Engine} instances (each carrying
+   its own clock, RNG, trace and, above it, a whole VMM sub-host or
+   datacenter host) and advances them in lockstep conservative
+   windows on a {!Team} of worker domains:
 
      1. flush every member's {!Mailbox} into its queue, in
         (time, src, seq) order;
@@ -15,12 +15,14 @@
      4. repeat until a stop condition holds, the [until] horizon is
         passed, or every queue is empty.
 
-   The safety argument is Shard's: {!post} requires
-   [time >= src clock + lookahead], and a draining member's clock
-   stays <= limit < t_min + lookahead, so no message posted during a
-   window can land inside it; holding mail until the next flush
-   reorders nothing any member could have observed. Member event
-   streams therefore depend only on the member partition and the
+   Safety: {!post} requires [time >= src clock + lookahead]. Every
+   post during a window comes from an event firing at some time
+   >= t_min (t_min is the global minimum once mail is flushed), so the
+   message lands at or after t_min + lookahead > limit: after every
+   event the window drains. Holding mail until the next flush thus
+   reorders nothing any member could have observed, and the flush's
+   (time, src, seq) sort fixes the order among messages that share a
+   timestamp. Member event streams depend only on the member partition and the
    message contents — never on the worker count — which
    {!fingerprint}/{!digest} check cheaply via the engines' rolling
    stream fingerprints. *)

@@ -53,7 +53,8 @@ val events_fired : t -> int
 val fingerprint : t -> string
 (** Per-member digest (event count, clock, rolling stream hash) plus
     the window count. Equal across runs of the same partition at any
-    worker count; the [-j1]-vs-[-jN] oracle string. *)
+    worker count; the 1-vs-N-worker oracle string. A different
+    partition of the same work legitimately differs. *)
 
 val digest : t -> int
 (** [fingerprint] folded to one int (order-sensitive over members). *)

@@ -1,6 +1,6 @@
-(* Deterministic cross-shard mailbox, fused post/flush hot path.
+(* Deterministic cross-member mailbox, fused post/flush hot path.
 
-   One mailbox per receiving shard. Senders post (time, src, per-src
+   One mailbox per receiving fabric member. Senders post (time, src, per-src
    seq, action) tuples under the mailbox mutex; the coordinator
    flushes between conservative windows, delivering in the canonical
    (time, src, seq) order no domain interleaving can perturb.

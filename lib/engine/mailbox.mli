@@ -1,8 +1,7 @@
-(** Deterministic cross-shard mailbox with a fused, allocation-free
+(** Deterministic cross-member mailbox with a fused, allocation-free
     post/flush hot path.
 
-    One mailbox per receiving shard (used by both {!Shard} and
-    {!Fabric}). Senders {!post} under the mailbox mutex; the window
+    One mailbox per receiving {!Fabric} member. Senders {!post} under the mailbox mutex; the window
     coordinator {!flush}es between conservative windows, delivering in
     the canonical [(time, src, per-src seq)] order. Messages live in
     preallocated parallel arrays: a post is four array stores, a flush

@@ -269,7 +269,7 @@ let big_spec =
     work_conserving = true;
     faults = "chaos-mild";
     queue = "wheel";
-    sim_jobs = 2;
+    sim_jobs = 1;
     decouple = false;
     sockets = 2;
     cores_per_socket = 4;

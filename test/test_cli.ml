@@ -1,6 +1,7 @@
-(* Numeric CLI flags: a bad value is a usage error (exit 2) with a
+(* Bad CLI input: a bad numeric value is a usage error (exit 2) with a
    message naming the flag, rejected while parsing, before any
-   simulation starts. *)
+   simulation starts; so is a --sim-jobs split the topology cannot
+   take. *)
 
 let cli = Filename.concat (Filename.concat Filename.parent_dir_name "bin") "asman_cli.exe"
 
@@ -50,4 +51,21 @@ let suite =
       ~msg:"--workers must be >= 1";
     case "experiment -j 0" [ "experiment"; "fig1a"; "-j"; "0" ]
       ~msg:"-j/--jobs must be >= 1";
+    case "cluster --hosts 0" [ "cluster"; "--hosts"; "0" ]
+      ~msg:"--hosts must be >= 1";
+    case "cluster --vms 0" [ "cluster"; "--vms"; "0" ] ~msg:"--vms must be >= 1";
+    case "cluster --horizon 0" [ "cluster"; "--horizon"; "0" ]
+      ~msg:"--horizon must be > 0";
+    case "cluster --horizon=-1" [ "cluster"; "--horizon=-1" ]
+      ~msg:"--horizon must be > 0";
+    case "cluster --horizon nan" [ "cluster"; "--horizon"; "nan" ]
+      ~msg:"--horizon must be > 0";
+    case "cluster --overcommit=-1" [ "cluster"; "--overcommit=-1" ]
+      ~msg:"--overcommit must be > 0";
+    case "run --max-sec=-1" [ "run"; "--max-sec=-1" ]
+      ~msg:"--max-sec must be > 0";
+    (* Decoupling the default 2x4 host four ways cannot be socket-aligned;
+       the message names both flags that fix it. *)
+    case "run --sim-jobs 4 on 2x4" [ "run"; "--sim-jobs"; "4" ]
+      ~msg:"pick --topology SxC with S a multiple of --sim-jobs";
   ]

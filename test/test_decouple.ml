@@ -1,5 +1,6 @@
 (* Decoupled VMM on the PDES fabric: cross-shard message ordering
-   under the (time, src, seq) discipline, the steal protocol's race
+   under the (time, src, seq) discipline, the fabric's window and post
+   contracts, the steal protocol's race
    behaviour (same-window contention, stale requests after the target
    migrated), worker-count invariance of full decoupled scenarios, and
    the mailbox hot path's zero-allocation contract. *)
@@ -81,6 +82,124 @@ let test_mailbox_flush_zero_alloc () =
     (Printf.sprintf "hot path allocation-free (%.0f minor words)" words)
     true
     (words < 256.)
+
+(* ----- fabric window protocol and post contract ----- *)
+
+let fabric ~members ~lookahead =
+  let engines = Array.init members (fun _ -> Engine.create ()) in
+  (Fabric.create ~lookahead engines, engines)
+
+(* A window drains up to t_min + lookahead - 1: with lookahead 100,
+   an event exactly at 100 is deferred to the next window. *)
+let test_fabric_horizon_edge_defers () =
+  let fab, e = fabric ~members:1 ~lookahead:100 in
+  let order = ref [] in
+  ignore (Engine.schedule_at e.(0) ~time:0 (fun () -> order := 0 :: !order));
+  ignore
+    (Engine.schedule_at e.(0) ~time:100 (fun () -> order := 100 :: !order));
+  Fabric.run ~workers:1 fab;
+  Alcotest.(check (list int)) "both fired in order" [ 0; 100 ] (List.rev !order);
+  Alcotest.(check int) "two windows" 2 (Fabric.windows fab)
+
+(* Events strictly inside the horizon [0, 100) all drain in one window. *)
+let test_fabric_within_horizon_one_window () =
+  let fab, e = fabric ~members:1 ~lookahead:100 in
+  for time = 0 to 99 do
+    ignore (Engine.schedule_at e.(0) ~time (fun () -> ()))
+  done;
+  Fabric.run ~workers:1 fab;
+  Alcotest.(check int) "one window" 1 (Fabric.windows fab);
+  Alcotest.(check int) "all fired" 100 (Fabric.events_fired fab)
+
+(* [until] clamps every member clock even when queues still hold
+   events, mirroring Engine.run. *)
+let test_fabric_until_clamps_clocks () =
+  let fab, e = fabric ~members:2 ~lookahead:10 in
+  ignore (Engine.schedule_at e.(0) ~time:5 (fun () -> ()));
+  ignore (Engine.schedule_at e.(1) ~time:500 (fun () -> ()));
+  Fabric.run ~workers:1 ~until:50 fab;
+  Alcotest.(check int) "member 0 clock at until" 50 (Engine.now e.(0));
+  Alcotest.(check int) "member 1 clock at until" 50 (Engine.now e.(1));
+  Alcotest.(check int) "late event still queued" 1 (Fabric.events_fired fab)
+
+let test_fabric_post_below_lookahead () =
+  let fab, e = fabric ~members:2 ~lookahead:100 in
+  let raised = ref false in
+  ignore
+    (Engine.schedule_at e.(0) ~time:50 (fun () ->
+         (* clock is 50; lookahead demands time >= 150. *)
+         Alcotest.check_raises "sub-lookahead post rejected"
+           (Invalid_argument
+              "Fabric.post: time 149 violates lookahead (member 0 clock 50 + \
+               100)")
+           (fun () -> Fabric.post fab ~src:0 ~dst:1 ~time:149 (fun () -> ()));
+         raised := true));
+  Fabric.run ~workers:1 fab;
+  Alcotest.(check bool) "post attempted" true !raised;
+  Alcotest.(check int) "nothing mailed" 0 (Fabric.cross_posts fab)
+
+let test_fabric_post_at_lookahead () =
+  let fab, e = fabric ~members:2 ~lookahead:100 in
+  let delivered = ref (-1) in
+  ignore
+    (Engine.schedule_at e.(0) ~time:50 (fun () ->
+         Fabric.post fab ~src:0 ~dst:1 ~time:150 (fun () ->
+             delivered := Engine.now e.(1))));
+  Fabric.run ~workers:1 fab;
+  Alcotest.(check int) "delivered exactly at lookahead edge" 150 !delivered;
+  Alcotest.(check int) "one cross post" 1 (Fabric.cross_posts fab)
+
+(* Mail fires on the destination member like any local action, so it
+   may cancel destination-local events scheduled after it. *)
+let test_fabric_mail_cancels_local () =
+  let fab, e = fabric ~members:2 ~lookahead:50 in
+  let fired = ref [] in
+  let doomed =
+    Engine.schedule_at e.(1) ~time:120 (fun () -> fired := "doomed" :: !fired)
+  in
+  ignore
+    (Engine.schedule_at e.(0) ~time:0 (fun () ->
+         Fabric.post fab ~src:0 ~dst:1 ~time:100 (fun () ->
+             fired := "mail" :: !fired;
+             Alcotest.(check bool)
+               "victim pending when mail fires" true
+               (Engine.is_pending e.(1) doomed);
+             Engine.cancel e.(1) doomed)));
+  Fabric.run ~workers:1 fab;
+  Alcotest.(check (list string))
+    "only the mail fired" [ "mail" ] (List.rev !fired)
+
+(* Delivery schedules mail into the destination's pooled queue slots;
+   cancelling a local decoy at the mailed event's exact fire time must
+   unlink the decoy, never the mail. *)
+let test_fabric_cancel_decoy_spares_mail () =
+  let fab, e = fabric ~members:2 ~lookahead:100 in
+  let fired = ref [] in
+  let decoy =
+    Engine.schedule_at e.(1) ~time:200 (fun () -> fired := "decoy" :: !fired)
+  in
+  ignore
+    (Engine.schedule_at e.(0) ~time:0 (fun () ->
+         Fabric.post fab ~src:0 ~dst:1 ~time:200 (fun () ->
+             fired := "mail" :: !fired)));
+  ignore
+    (Engine.schedule_at e.(1) ~time:150 (fun () ->
+         Alcotest.(check bool)
+           "decoy pending at cancel" true
+           (Engine.is_pending e.(1) decoy);
+         Engine.cancel e.(1) decoy));
+  Fabric.run ~workers:1 fab;
+  Alcotest.(check (list string))
+    "mail delivered, decoy suppressed" [ "mail" ] (List.rev !fired);
+  Alcotest.(check int) "one cross post" 1 (Fabric.cross_posts fab)
+
+(* A member raising mid-window must not wedge the worker team: the
+   exception reaches the caller after the window barrier. *)
+let test_fabric_worker_exception () =
+  let fab, e = fabric ~members:4 ~lookahead:10 in
+  ignore (Engine.schedule_at e.(2) ~time:5 (fun () -> failwith "boom"));
+  Alcotest.check_raises "action exception reaches run" (Failure "boom")
+    (fun () -> Fabric.run ~workers:4 fab)
 
 (* ----- steal races on the fabric, modeled with a token ----- *)
 
@@ -276,7 +395,7 @@ let test_build_rejects_bad_shapes () =
     (fun () -> ignore (Decouple.build config ~sched:Config.Asman ~vms));
   let config1 = { (dec_config ~sockets:2 ~cores:2) with Config.sim_jobs = 1 } in
   Alcotest.check_raises "one shard is not decoupled"
-    (Invalid_argument "Decouple.build: --decouple needs --sim-jobs >= 2")
+    (Invalid_argument "Decouple.build: a decoupled run needs --sim-jobs >= 2")
     (fun () ->
       ignore (Decouple.build config1 ~sched:Config.Asman ~vms))
 
@@ -320,6 +439,22 @@ let suite =
       test_mailbox_ties_break_on_seq;
     Alcotest.test_case "mailbox: zero-alloc hot path" `Quick
       test_mailbox_flush_zero_alloc;
+    Alcotest.test_case "fabric: horizon edge defers" `Quick
+      test_fabric_horizon_edge_defers;
+    Alcotest.test_case "fabric: within horizon one window" `Quick
+      test_fabric_within_horizon_one_window;
+    Alcotest.test_case "fabric: until clamps clocks" `Quick
+      test_fabric_until_clamps_clocks;
+    Alcotest.test_case "fabric: sub-lookahead post raises" `Quick
+      test_fabric_post_below_lookahead;
+    Alcotest.test_case "fabric: post at lookahead accepted" `Quick
+      test_fabric_post_at_lookahead;
+    Alcotest.test_case "fabric: mail cancels local event" `Quick
+      test_fabric_mail_cancels_local;
+    Alcotest.test_case "fabric: cancel decoy spares mail" `Quick
+      test_fabric_cancel_decoy_spares_mail;
+    Alcotest.test_case "fabric: worker exception surfaces" `Quick
+      test_fabric_worker_exception;
     Alcotest.test_case "same-window steal race" `Quick
       test_same_window_steal_race;
     Alcotest.test_case "same-window race is worker-invariant" `Quick
